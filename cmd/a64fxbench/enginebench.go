@@ -11,95 +11,105 @@ import (
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
-	"a64fxbench/internal/simmpi"
 )
 
 // engineBenchNodes fixes the benchmark scenario so snapshots taken on
 // different days are comparable: 86 nodes × 48 cores = 4128 ranks, just
-// above the 4096-rank floor where the event engine's advantage is
-// quoted. The scenario itself is hpcg.EngineScaleConfig.
+// above the 4096-rank floor the engine's throughput is quoted at. The
+// scenario itself is hpcg.EngineScaleConfig.
 const engineBenchNodes = 86
 
-// engineBenchResult is one engine's measurement in the snapshot.
-type engineBenchResult struct {
-	Engine      string  `json:"engine"`
+// engineBenchProcs are the GOMAXPROCS settings measured, one row each.
+// The engine is single-threaded, so a second thread buys it nothing;
+// the GOMAXPROCS=2 row prices the token handoff when the Go scheduler
+// can move rank goroutines between two OS threads.
+var engineBenchProcs = []int{1, 2}
+
+// engineBenchRow is one GOMAXPROCS setting's measurement. Score — the
+// simulated ranks per second times the seconds hpcg.RefLoop takes in
+// the same process — is what the gate compares: wall times track the
+// host, but the host's speed cancels out of the product.
+type engineBenchRow struct {
+	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Ranks       int     `json:"ranks"`
 	Msgs        int64   `json:"msgs"`
+	MakespanNS  int64   `json:"makespan_ns"`
 	WallMS      float64 `json:"wall_ms"`
 	RanksPerSec float64 `json:"ranks_per_sec"`
+	RefLoopMS   float64 `json:"ref_loop_ms"`
+	Score       float64 `json:"score"`
 }
 
-// engineBenchSnapshot is the BENCH_engine.json schema. Speedup — the
-// event engine's ranks/sec over the goroutine engine's, measured on one
-// core — is the only field the regression gate compares: absolute wall
-// times track the host machine, but the ratio of two runs interleaved
-// on the same core is stable across hosts.
+// engineBenchSnapshot is the BENCH_engine.json schema. Rows is the
+// gated measurement. Before, when present, records the same
+// measurement of the code a re-baseline replaced, each set with a note
+// saying what that code was; the gate never reads it.
 type engineBenchSnapshot struct {
-	Scenario string              `json:"scenario"`
-	Results  []engineBenchResult `json:"results"`
-	Speedup  float64             `json:"speedup"`
+	Scenario string            `json:"scenario"`
+	Rows     []engineBenchRow  `json:"rows"`
+	Before   []engineBenchPrev `json:"before,omitempty"`
 }
 
-// engineBenchTol is the allowed fractional drop in speedup versus the
-// committed baseline before the gate fails.
+type engineBenchPrev struct {
+	Note string           `json:"note"`
+	Rows []engineBenchRow `json:"rows"`
+}
+
+// engineBenchTol is the allowed fractional drop in a row's score versus
+// the committed baseline before the gate fails.
 const engineBenchTol = 0.15
 
-// engineBenchReps is how many times each engine runs; the fastest rep
-// counts. Minimum-of-N discards scheduler and GC interference, which
-// otherwise dwarfs real regressions in a sub-second measurement.
-const engineBenchReps = 3
+// engineBenchReps is how many times each row runs the scenario, each
+// run paired with a reference-loop run just before it and started after
+// a garbage collection; the fastest of each counts. Minimum-of-N
+// discards scheduler, GC and neighbour interference, which otherwise
+// dwarfs real regressions in a sub-second measurement.
+const engineBenchReps = 5
 
-// enginebenchCmd runs the weak-scaled HPCG scenario under both engines
-// on a single core, verifies they agree bit-for-bit, and reports
-// simulated-ranks/sec. With a baseline snapshot argument it becomes the
-// CI regression gate: the measured event/goroutine speedup must not
-// fall more than 15% below the baseline's. -o writes the new snapshot
+// enginebenchCmd runs the weak-scaled HPCG scenario at each
+// GOMAXPROCS setting and reports simulated ranks/sec, normalised by the
+// in-process reference loop. With a baseline snapshot argument it
+// becomes the CI regression gate: every row must reproduce the
+// baseline's simulated outcome exactly, and its score must not fall
+// more than 15% below the baseline row's. -o writes the new snapshot
 // (the file CI uploads and, when re-baselining, commits).
 func enginebenchCmd(cfg sweepConfig, args []string) error {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sys := arch.MustGet(arch.A64FX)
 	snap := engineBenchSnapshot{
-		Scenario: fmt.Sprintf("hpcg weak-scaled, %d nodes (%d ranks), a64fx, GOMAXPROCS=1",
+		Scenario: fmt.Sprintf("hpcg weak-scaled, %d nodes (%d ranks), a64fx",
 			engineBenchNodes, engineBenchNodes*sys.CoresPerNode()),
 	}
-	type outcome struct {
-		makespan, bytes uint64
-		msgs            int64
-		gflops          uint64
-	}
-	var outcomes []outcome
-	for _, eng := range []simmpi.Engine{simmpi.EngineGoroutine, simmpi.EngineEvent} {
+	for _, procs := range engineBenchProcs {
+		runtime.GOMAXPROCS(procs)
 		var res hpcg.Result
-		var wall time.Duration
+		var wall, ref time.Duration
 		for rep := 0; rep < engineBenchReps; rep++ {
+			if d := hpcg.RefLoop(); rep == 0 || d < ref {
+				ref = d
+			}
+			runtime.GC()
 			start := time.Now()
-			r, err := hpcg.Run(hpcg.EngineScaleConfig(sys, engineBenchNodes, eng))
+			r, err := hpcg.Run(hpcg.EngineScaleConfig(sys, engineBenchNodes))
 			if err != nil {
-				return fmt.Errorf("enginebench: %s engine: %w", eng, err)
+				return fmt.Errorf("enginebench: GOMAXPROCS=%d: %w", procs, err)
 			}
 			if w := time.Since(start); rep == 0 || w < wall {
 				res, wall = r, w
 			}
 		}
-		snap.Results = append(snap.Results, engineBenchResult{
-			Engine:      string(eng),
+		rps := float64(res.Procs) / wall.Seconds()
+		snap.Rows = append(snap.Rows, engineBenchRow{
+			GOMAXPROCS:  procs,
 			Ranks:       res.Procs,
 			Msgs:        res.Report.TotalMsgs,
+			MakespanNS:  int64(res.Report.Makespan),
 			WallMS:      math.Round(wall.Seconds()*1e5) / 100,
-			RanksPerSec: math.Round(float64(res.Procs) / wall.Seconds()),
-		})
-		outcomes = append(outcomes, outcome{
-			makespan: uint64(res.Report.Makespan),
-			msgs:     res.Report.TotalMsgs,
-			bytes:    uint64(res.Report.TotalBytesSent),
-			gflops:   math.Float64bits(res.GFLOPs),
+			RanksPerSec: math.Round(rps),
+			RefLoopMS:   math.Round(ref.Seconds()*1e5) / 100,
+			Score:       math.Round(rps*ref.Seconds()*10) / 10,
 		})
 	}
-	if outcomes[0] != outcomes[1] {
-		return fmt.Errorf("enginebench: engines diverged on the benchmark scenario: goroutine %+v, event %+v",
-			outcomes[0], outcomes[1])
-	}
-	snap.Speedup = math.Round(snap.Results[1].RanksPerSec/snap.Results[0].RanksPerSec*100) / 100
 
 	if err := withOutput(cfg, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -108,11 +118,10 @@ func enginebenchCmd(cfg sweepConfig, args []string) error {
 	}); err != nil {
 		return err
 	}
-	for _, r := range snap.Results {
-		fmt.Fprintf(os.Stderr, "enginebench: %-9s %d ranks, %d msgs: %.1fms (%.0f ranks/s)\n",
-			r.Engine, r.Ranks, r.Msgs, r.WallMS, r.RanksPerSec)
+	for _, r := range snap.Rows {
+		fmt.Fprintf(os.Stderr, "enginebench: GOMAXPROCS=%d %d ranks, %d msgs: %.1fms (%.0f ranks/s), ref loop %.2fms: score %.1f\n",
+			r.GOMAXPROCS, r.Ranks, r.Msgs, r.WallMS, r.RanksPerSec, r.RefLoopMS, r.Score)
 	}
-	fmt.Fprintf(os.Stderr, "enginebench: event/goroutine speedup %.2f×\n", snap.Speedup)
 
 	if len(args) == 0 {
 		return nil
@@ -125,13 +134,33 @@ func enginebenchCmd(cfg sweepConfig, args []string) error {
 		return fmt.Errorf("enginebench: baseline scenario %q does not match %q; re-baseline with -o %s",
 			base.Scenario, snap.Scenario, args[0])
 	}
-	floor := base.Speedup * (1 - engineBenchTol)
-	if snap.Speedup < floor {
-		return fmt.Errorf("enginebench: speedup regressed to %.2f×, baseline %.2f× (floor %.2f×)",
-			snap.Speedup, base.Speedup, floor)
+	for _, r := range snap.Rows {
+		b, ok := baselineRow(base, r.GOMAXPROCS)
+		if !ok {
+			return fmt.Errorf("enginebench: baseline %s has no GOMAXPROCS=%d row", args[0], r.GOMAXPROCS)
+		}
+		if r.Msgs != b.Msgs || r.MakespanNS != b.MakespanNS {
+			return fmt.Errorf("enginebench: GOMAXPROCS=%d simulated %d msgs over %dns, baseline %d msgs over %dns",
+				r.GOMAXPROCS, r.Msgs, r.MakespanNS, b.Msgs, b.MakespanNS)
+		}
+		floor := b.Score * (1 - engineBenchTol)
+		if r.Score < floor {
+			return fmt.Errorf("enginebench: GOMAXPROCS=%d score regressed to %.1f, baseline %.1f (floor %.1f)",
+				r.GOMAXPROCS, r.Score, b.Score, floor)
+		}
+		fmt.Fprintf(os.Stderr, "enginebench: GOMAXPROCS=%d within baseline (%.1f ≥ %.1f floor)\n", r.GOMAXPROCS, r.Score, floor)
 	}
-	fmt.Fprintf(os.Stderr, "enginebench: within baseline (%.2f× ≥ %.2f× floor)\n", snap.Speedup, floor)
 	return nil
+}
+
+// baselineRow finds the baseline's row for a GOMAXPROCS setting.
+func baselineRow(s engineBenchSnapshot, procs int) (engineBenchRow, bool) {
+	for _, r := range s.Rows {
+		if r.GOMAXPROCS == procs {
+			return r, true
+		}
+	}
+	return engineBenchRow{}, false
 }
 
 func loadEngineBaseline(path string) (engineBenchSnapshot, error) {
@@ -143,8 +172,13 @@ func loadEngineBaseline(path string) (engineBenchSnapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return s, fmt.Errorf("enginebench: parsing baseline %s: %w", path, err)
 	}
-	if s.Speedup <= 0 {
-		return s, fmt.Errorf("enginebench: baseline %s has no speedup field", path)
+	for _, r := range s.Rows {
+		if r.Score <= 0 {
+			return s, fmt.Errorf("enginebench: baseline %s has a row without a score", path)
+		}
+	}
+	if len(s.Rows) == 0 {
+		return s, fmt.Errorf("enginebench: baseline %s has no rows", path)
 	}
 	return s, nil
 }

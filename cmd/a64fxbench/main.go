@@ -153,7 +153,7 @@ var commands = []command{
 	},
 	cmdFunc{
 		name: "enginebench", synopsis: "enginebench [baseline.json]",
-		describe: "measure ranks/sec for both engines; gate against a baseline snapshot (-o)",
+		describe: "measure normalised engine ranks/sec; gate against a baseline snapshot (-o)",
 		run: func(_ context.Context, cfg sweepConfig, args []string) error {
 			return enginebenchCmd(cfg, args)
 		},
@@ -237,7 +237,6 @@ func main() {
 	failFast := flag.Bool("failfast", false, "cancel remaining experiments after the first failure")
 	profile := flag.Bool("profile", false, "print per-job observability summaries after each artifact")
 	congestion := flag.Bool("congestion", false, "price multi-node communication through the routed contention model")
-	engine := flag.String("engine", "", "simulation engine: goroutine (default) or event (discrete-event, for very large rank counts)")
 	outFile := flag.String("o", "", "write trace/links/counters output to FILE instead of stdout")
 	period := flag.Duration("period", 0, "counters: virtual-time sampling period (0 = default 100µs)")
 	tol := flag.Float64("tol", 0.01, "diff: relative tolerance for time and rate metrics")
@@ -275,11 +274,6 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	eng, err := a64fxbench.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "a64fxbench:", err)
-		os.Exit(2)
-	}
 	mdl, err := a64fxbench.ParseModel(*model)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "a64fxbench:", err)
@@ -296,7 +290,7 @@ func main() {
 	cfg := sweepConfig{
 		quick: *quick, compare: *compare, format: *format,
 		jobs: *jobs, failFast: *failFast,
-		profile: *profile, congestion: *congestion, engine: eng, out: *outFile,
+		profile: *profile, congestion: *congestion, out: *outFile,
 		period: *period, tol: *tol, addr: *addr, queue: *queue,
 		debugAddr: *debugAddr, logLevel: *logLevel, logFormat: *logFormat,
 		machine: *machine, model: string(mdl),
@@ -332,8 +326,6 @@ flags (accepted before or after the command):
   -tol F     diff: relative tolerance for time and rate metrics (default 0.01)
   -profile   run/all/ext: print per-job observability summaries
   -congestion  price multi-node communication through the routed contention model
-  -engine E  simulation engine: goroutine (default) or event (single-threaded
-             discrete-event core for very large rank counts; bit-identical results)
   -j N       run up to N experiments concurrently (0 = GOMAXPROCS)
   -failfast  cancel remaining experiments after the first failure
   -addr A    serve: listen address (default 127.0.0.1:7764)

@@ -55,10 +55,6 @@ type Config struct {
 	// benchmark carries; see simmpi.Instrumentation. CASTEP runs on a
 	// single node, so Congestion never changes its results.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // Result is the outcome of a metered run.
@@ -152,7 +148,6 @@ func Run(cfg Config) (Result, error) {
 		Nodes:          1,
 		ThreadsPerRank: 1,
 		RankModel:      func(int) *perfmodel.CostModel { return model },
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("castep %s c=%d", sys.ID, procs),
 	}
 	cfg.Instrumentation.Apply(&job)
@@ -161,7 +156,18 @@ func Run(cfg Config) (Result, error) {
 	// communication of grid data among the band groups.
 	a2aBytesPerPeer := units.Bytes(n3 * 16 / float64(procs*procs) * 4)
 
+	// The transpose blocks only carry a size: Alltoall never writes a
+	// send block, so one zero block serves every rank, peer and cycle.
+	var zero []float64
+	if procs > 1 {
+		zero = make([]float64, int(a2aBytesPerPeer)/8)
+	}
+
 	rep, err := simmpi.Run(job, func(r *simmpi.Rank) error {
+		send := make([][]float64, r.Size())
+		for i := range send {
+			send[i] = zero
+		}
 		for cyc := 0; cyc < cfg.Cycles; cyc++ {
 			r.Region("scf-cycle")
 			r.Region("fft")
@@ -169,11 +175,6 @@ func Run(cfg Config) (Result, error) {
 			r.EndRegion()
 			if r.Size() > 1 {
 				r.Region("transpose")
-				send := make([][]float64, r.Size())
-				n := int(a2aBytesPerPeer) / 8
-				for i := range send {
-					send[i] = make([]float64, n)
-				}
 				r.Alltoall(send)
 				r.EndRegion()
 			}

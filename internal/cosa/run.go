@@ -56,10 +56,6 @@ type Config struct {
 	// network-pricing options (Trace, Congestion, Counters) every
 	// benchmark carries; see simmpi.Instrumentation.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // Result is the outcome of a metered run.
@@ -137,7 +133,6 @@ func Run(cfg Config) (Result, error) {
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		NoiseProb:      1e-5,
 		NoiseDuration:  units.Duration(30 * units.Millisecond),
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("cosa %s n=%d", sys.ID, cfg.Nodes),
 	}
 	cfg.Instrumentation.Apply(&job)

@@ -54,10 +54,6 @@ type Config struct {
 	// network-pricing options (Trace, Congestion, Counters) every
 	// benchmark carries; see simmpi.Instrumentation.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // DefaultIterations is the fixed Benchmark1 CG iteration count used by
@@ -183,7 +179,6 @@ func Run(cfg Config) (Result, error) {
 		ThreadsPerRank: cfg.ThreadsPerRank,
 		RankModel:      func(int) *perfmodel.CostModel { return model },
 		Fabric:         sys.NewFabric(cfg.Nodes),
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("minikab %s n=%d r=%d t=%d", sys.ID, cfg.Nodes, cfg.RanksPerNode, cfg.ThreadsPerRank),
 	}
 	cfg.Instrumentation.Apply(&job)

@@ -67,28 +67,38 @@ func (jt *JobTrace) NumNodes() int {
 // SplitJobs partitions a sink's event stream into per-job traces using
 // the EvJobBegin/EvJobEnd markers the runtime emits around each job.
 // Events outside any marker pair (possible only with hand-built
-// streams) open an implicit unlabelled job.
+// streams) open an implicit unlabelled job. A job's events are
+// contiguous in the stream, so each JobTrace.Events is a sub-slice of
+// tl, capped so an append copies instead of overwriting the stream;
+// splitting copies no event.
 func SplitJobs(tl simmpi.Timeline) []JobTrace {
 	var jobs []JobTrace
-	var cur *JobTrace
-	for _, e := range tl {
+	open, start := false, 0
+	closeJob := func(end int) {
+		if open && end > start {
+			jobs[len(jobs)-1].Events = tl[start:end:end]
+		}
+		open = false
+	}
+	for i, e := range tl {
 		switch e.Kind {
 		case simmpi.EvJobBegin:
+			closeJob(i)
 			jobs = append(jobs, JobTrace{Label: e.Name})
-			cur = &jobs[len(jobs)-1]
+			open, start = true, i+1
 		case simmpi.EvJobEnd:
-			if cur != nil {
-				cur.Makespan = e.Duration
-				cur = nil
+			if open {
+				jobs[len(jobs)-1].Makespan = e.Duration
+				closeJob(i)
 			}
 		default:
-			if cur == nil {
+			if !open {
 				jobs = append(jobs, JobTrace{})
-				cur = &jobs[len(jobs)-1]
+				open, start = true, i
 			}
-			cur.Events = append(cur.Events, e)
 		}
 	}
+	closeJob(len(tl))
 	// Truncated stream (no EvJobEnd): derive the makespan from events.
 	for i := range jobs {
 		if jobs[i].Makespan == 0 {

@@ -39,10 +39,6 @@ type Config struct {
 	// network-pricing options (Trace, Congestion, Counters) every
 	// benchmark carries; see simmpi.Instrumentation.
 	simmpi.Instrumentation
-	// Engine selects the simmpi execution substrate (goroutine-per-rank
-	// or discrete-event); engines are bit-identical in every result.
-	// Empty means the goroutine default.
-	Engine simmpi.Engine
 }
 
 // Result is the outcome of a metered run.
@@ -119,7 +115,6 @@ func Run(cfg Config) (Result, error) {
 		Fabric:         sys.NewFabric(cfg.Nodes),
 		NoiseProb:      1e-5,
 		NoiseDuration:  units.Duration(30 * units.Millisecond),
-		Engine:         cfg.Engine,
 		Label:          fmt.Sprintf("opensbli %s n=%d g=%d", sys.ID, cfg.Nodes, tc.Grid),
 	}
 	cfg.Instrumentation.Apply(&job)

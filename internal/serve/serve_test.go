@@ -93,6 +93,7 @@ func TestEndpointTable(t *testing.T) {
 		{"links two ids", "POST", "/v1/links", `{"ids":["table1","table2"]}`, 400, "application/json", "exactly one"},
 		{"bad json", "POST", "/v1/run", `{"ids":`, 400, "application/json", "error"},
 		{"unknown field", "POST", "/v1/run", `{"ids":["table1"],"quik":true}`, 400, "application/json", "quik"},
+		{"engine field", "POST", "/v1/run", `{"ids":["table1"],"engine":"event"}`, 400, "application/json", `unknown field \"engine\"`},
 		{"unknown id", "POST", "/v1/run", `{"ids":["nope"]}`, 400, "application/json", "table1"},
 		{"no ids", "POST", "/v1/sweep", `{}`, 400, "application/json", "no experiment ids"},
 		{"bad format", "POST", "/v1/run", `{"ids":["table1"],"format":"xml"}`, 400, "application/json", "xml"},

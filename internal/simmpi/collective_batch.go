@@ -5,15 +5,16 @@ package simmpi
 // When all p ranks have parked at the same collective, the functions
 // here execute it as one event: each rank's exact per-rank operation
 // sequence — the same sendCore/recvCore calls, buffer copies, and
-// reduction folds as the goroutine implementations in simmpi.go — is
-// replayed in a dependency-valid cross-rank order. All simulator state
-// is per-rank (clocks, PMUs, stats, flow sequences, trace logs), and
-// cross-rank coupling happens only through message stamps, so any order
-// that runs every receive after its matching send yields bit-identical
-// results; the trace merge in Run re-sorts events into (Start, Rank)
-// order afterwards. That "same per-rank sequence, shared executor"
-// construction — not testing alone — is what makes the two engines
-// equivalent.
+// reduction folds a rank would make running the algorithm with
+// point-to-point messages (the per-rank form lives in reference_test.go
+// as the oracle) — is replayed in a dependency-valid cross-rank order.
+// All simulator state is per-rank (clocks, PMUs, stats, flow sequences,
+// trace logs), and cross-rank coupling happens only through message
+// stamps, so any order that runs every receive after its matching send
+// yields bit-identical results; the trace merge in Run re-sorts events
+// into (Start, Rank) order afterwards. That "same per-rank sequence,
+// shared accounting" construction — not testing alone — is what makes
+// the batched executor equivalent to the per-rank algorithms.
 //
 // Message slots: within one round of every algorithm the send→recv
 // pairing is a bijection (each rank receives at most one message), so a
@@ -137,7 +138,7 @@ func runBatched(e *eventEngine, kind collKind, args []collArgs, res []any) {
 }
 
 // collRoot checks that every rank named the same root (a mismatched
-// root would deadlock the goroutine engine; failing loudly is kinder).
+// root would deadlock a per-rank tree; failing loudly is kinder).
 func collRoot(e *eventEngine, args []collArgs) int {
 	root := args[0].root
 	for i := 1; i < len(args); i++ {
@@ -288,7 +289,7 @@ func batchBcast(e *eventEngine, args []collArgs, res []any) {
 // batchReduceTree mirrors Rank.Reduce's binomial combine onto the root,
 // without the collBegin/collEnd bracket (callers bracket it, because
 // ReduceScatter's non-power-of-two path nests it inside its own
-// bracket exactly as the goroutine code nests r.Reduce). bufs come from
+// bracket exactly as the per-rank algorithm nests Reduce). bufs come from
 // args[i].buf; mask-ascending rounds run senders before receivers.
 func batchReduceTree(e *eventEngine, args []collArgs, root, tag int) {
 	rs, p := e.ranks, len(e.ranks)
@@ -387,7 +388,7 @@ func batchAlltoall(e *eventEngine, args []collArgs, res []any) {
 // batchReduceScatter mirrors Rank.ReduceScatter: recursive halving for
 // power-of-two sizes; otherwise a nested Reduce to rank 0 followed by a
 // linear scatter, with the inner Reduce bracketed in its own
-// collBegin/collEnd exactly as the goroutine code's r.Reduce call is.
+// collBegin/collEnd exactly as the per-rank algorithm's Reduce call is.
 func batchReduceScatter(e *eventEngine, args []collArgs, res []any) {
 	rs, p := e.ranks, len(e.ranks)
 	e.beginAll(e.starts)

@@ -62,13 +62,9 @@ func (r *Rank) Split(color, key int) *Comm {
 		close(st.done)
 	}
 	st.mu.Unlock()
-	if r.eng != nil {
-		// Event engine: a real-time channel wait would stall the one
-		// runnable rank forever; park in the loop's rendezvous instead.
-		r.eng.splitWait(r, st.done)
-	} else {
-		<-st.done
-	}
+	// A real-time channel wait would stall the engine's one runnable
+	// rank forever; park in the scheduler's rendezvous instead.
+	r.eng.splitWait(r, st.done)
 
 	// The barrier above is a synchronisation in real time only; in
 	// virtual time MPI_Comm_split is a collective, so charge a

@@ -49,12 +49,12 @@ func (r *Rank) nextFlowSeq(dst, tag int) int {
 // flow schedule over the fabric's routed links. jobSpan (nil-safe)
 // receives one span per replay phase: the recording pass and the
 // max-min fair solve.
-func recordAndSolve(cfg JobConfig, body func(*Rank) error, jobSpan *telemetry.Span) (*congestion.Solution, error) {
+func recordAndSolve(cfg JobConfig, body func(*Rank) error, rn runner, jobSpan *telemetry.Span) (*congestion.Solution, error) {
 	recSpan := jobSpan.Child("replay-record")
 	recCfg := cfg
 	recCfg.Sink = nil     // the recording pass is never traced
 	recCfg.Counters = nil // ... and never counted: only pass two's times are real
-	ranks, err := runRanks(recCfg, body, &congestState{recording: true})
+	ranks, err := runRanks(recCfg, body, &congestState{recording: true}, rn)
 	recSpan.Fail(err)
 	recSpan.End()
 	if err != nil {

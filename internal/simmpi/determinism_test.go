@@ -1,6 +1,6 @@
 // Determinism stress test: the runtime's core promise is that virtual
 // time is a pure function of the job, independent of how the Go
-// scheduler interleaves the rank goroutines. This external test package
+// scheduler places the rank goroutines on threads. This external test package
 // (simmpi_test, so it can import the benchmark codes without a cycle)
 // replays the same distributed HPCG and Nekbone jobs under a range of
 // GOMAXPROCS values and demands bit-identical outcomes every time.
@@ -39,9 +39,9 @@ type hpcgOutcome struct {
 }
 
 // runTracedHPCG executes a 6-rank, 2-node distributed HPCG solve on the
-// A64FX model with tracing on under the given engine, and reduces it to
-// a comparable outcome.
-func runTracedHPCG(t *testing.T, eng simmpi.Engine) hpcgOutcome {
+// A64FX model with tracing on under run (simmpi.Run or the reference
+// runtime), and reduces it to a comparable outcome.
+func runTracedHPCG(t *testing.T, run func(simmpi.JobConfig, func(*simmpi.Rank) error) (simmpi.Report, error)) hpcgOutcome {
 	t.Helper()
 	const nx, ny, nz, procs, nodes = 8, 8, 12, 6, 2
 	sys := arch.MustGet(arch.A64FX)
@@ -52,7 +52,6 @@ func runTracedHPCG(t *testing.T, eng simmpi.Engine) hpcgOutcome {
 		RankModel: func(int) *perfmodel.CostModel { return model },
 		Fabric:    sys.NewFabric(nodes),
 		Sink:      sink,
-		Engine:    eng,
 	}
 	b := make([]float64, nx*ny*nz)
 	for i := range b {
@@ -63,7 +62,7 @@ func runTracedHPCG(t *testing.T, eng simmpi.Engine) hpcgOutcome {
 		solSum uint64
 		iters  int
 	)
-	rep, err := simmpi.Run(cfg, func(r *simmpi.Rank) error {
+	rep, err := run(cfg, func(r *simmpi.Rank) error {
 		d, err := hpcg.NewDistributedStencilCG(r, nx, ny, nz)
 		if err != nil {
 			return err
@@ -111,12 +110,12 @@ func slabStart(nz, p, id int) int {
 }
 
 // TestHPCGDeterministicAcrossGOMAXPROCS replays the traced distributed
-// solve ten times under varying scheduler widths — under BOTH engines,
-// and demands the engines match each other as well as themselves. Must
-// not run in parallel with other tests: GOMAXPROCS is process-global.
+// solve ten times under varying scheduler widths and demands every run
+// match the reference runtime's outcome. Must not run in parallel with
+// other tests: GOMAXPROCS is process-global.
 func TestHPCGDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	ref := runTracedHPCG(t, simmpi.EngineGoroutine)
+	ref := runTracedHPCG(t, simmpi.RunReference)
 	if ref.events == 0 {
 		t.Fatal("tracing produced no events; the event-count assertion would be vacuous")
 	}
@@ -125,11 +124,8 @@ func TestHPCGDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	for i, n := range gomaxSchedule {
 		runtime.GOMAXPROCS(n)
-		for _, eng := range []simmpi.Engine{simmpi.EngineGoroutine, simmpi.EngineEvent} {
-			got := runTracedHPCG(t, eng)
-			if got != ref {
-				t.Fatalf("run %d (GOMAXPROCS=%d, engine=%s): outcome diverged\n got %+v\nwant %+v", i, n, eng, got, ref)
-			}
+		if got := runTracedHPCG(t, simmpi.Run); got != ref {
+			t.Fatalf("run %d (GOMAXPROCS=%d): outcome diverged from the reference\n got %+v\nwant %+v", i, n, got, ref)
 		}
 	}
 }

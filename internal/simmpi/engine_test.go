@@ -1,20 +1,22 @@
 package simmpi
 
-// The dual-engine differential suite: every observable output of a job
-// — the full Report (per-rank clocks, stats, counters, link heatmaps)
-// and the merged trace timeline — must be byte-identical between the
-// goroutine engine and the discrete-event engine, for every
-// communication pattern and option combination. The suite also asserts
-// collective RESULTS (not just times) inside the bodies, so the event
-// engine's batched data path is checked against ground truth, not
-// merely against the other engine.
+// The differential suite: every observable output of a job — the full
+// Report (per-rank clocks, stats, counters, link heatmaps) and the
+// merged trace timeline — must be byte-identical between the
+// discrete-event engine and the reference runtime (reference_test.go),
+// for every communication pattern and option combination. The suite
+// also asserts collective RESULTS (not just times) inside the bodies,
+// so the engine's batched data path is checked against ground truth,
+// not merely against the oracle.
 
 import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"a64fxbench/internal/metrics"
 	"a64fxbench/internal/perfmodel"
@@ -37,41 +39,40 @@ func reportDigest(t *testing.T, rep Report, tl Timeline) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// runEngine executes one job under the given engine and digests it.
-func runEngine(t *testing.T, c JobConfig, eng Engine, traced bool, body func(*Rank) error) (Report, string) {
+// runDigest executes one job under run and digests it.
+func runDigest(t *testing.T, c JobConfig, name string, run func(JobConfig, func(*Rank) error) (Report, error), traced bool, body func(*Rank) error) (Report, string) {
 	t.Helper()
-	c.Engine = eng
 	var sink *MemorySink
 	if traced {
 		sink = &MemorySink{}
 		c.Sink = sink
 	}
-	rep, err := Run(c, body)
+	rep, err := run(c, body)
 	if err != nil {
-		t.Fatalf("engine %s: %v", eng, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	var tl Timeline
 	if sink != nil {
 		tl = sink.Events
 		if len(tl) == 0 {
-			t.Fatalf("engine %s: traced run produced no events", eng)
+			t.Fatalf("%s: traced run produced no events", name)
 		}
 	}
 	return rep, reportDigest(t, rep, tl)
 }
 
-// assertEngineEquivalent runs body under both engines and demands
-// byte-identical digests.
+// assertEngineEquivalent runs body under the engine and the reference
+// runtime and demands byte-identical digests.
 func assertEngineEquivalent(t *testing.T, c JobConfig, traced bool, body func(*Rank) error) {
 	t.Helper()
-	repG, digG := runEngine(t, c, EngineGoroutine, traced, body)
-	repE, digE := runEngine(t, c, EngineEvent, traced, body)
-	if digG != digE {
-		t.Fatalf("engines diverged:\n goroutine makespan=%v msgs=%d bytes=%v\n event     makespan=%v msgs=%d bytes=%v",
-			repG.Makespan, repG.TotalMsgs, repG.TotalBytesSent,
+	repR, digR := runDigest(t, c, "reference", runRef, traced, body)
+	repE, digE := runDigest(t, c, "event", Run, traced, body)
+	if digR != digE {
+		t.Fatalf("engine diverged from the reference:\n reference makespan=%v msgs=%d bytes=%v\n event     makespan=%v msgs=%d bytes=%v",
+			repR.Makespan, repR.TotalMsgs, repR.TotalBytesSent,
 			repE.Makespan, repE.TotalMsgs, repE.TotalBytesSent)
 	}
-	if repG.Makespan <= 0 && repG.TotalMsgs > 0 {
+	if repR.Makespan <= 0 && repR.TotalMsgs > 0 {
 		t.Fatal("degenerate job: messages moved but no time passed")
 	}
 }
@@ -304,7 +305,6 @@ func vecWork(n int) perfmodel.WorkProfile {
 func TestEventEngineErrorPropagation(t *testing.T) {
 	t.Parallel()
 	c := cfg(4, 2)
-	c.Engine = EngineEvent
 	boom := fmt.Errorf("rank 2 gave up")
 	_, err := Run(c, func(r *Rank) error {
 		if r.ID() == 2 {
@@ -330,12 +330,11 @@ func TestEventEngineErrorPropagation(t *testing.T) {
 }
 
 // TestEventEngineDeadlockDetection: a receive that can never be matched
-// must produce a diagnostic, not a hang (the goroutine engine hangs
-// forever on the same program — the event engine is strictly better).
+// must produce a diagnostic, not a hang (a goroutine-per-rank runtime
+// such as the reference hangs forever on the same program).
 func TestEventEngineDeadlockDetection(t *testing.T) {
 	t.Parallel()
 	c := cfg(2, 1)
-	c.Engine = EngineEvent
 	_, err := Run(c, func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Recv(1, 99) // never sent
@@ -359,30 +358,81 @@ func TestEventEngineDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestEngineResultNeutralInConfig: the engine never leaks into the
-// report — running the same body twice under one engine is already
-// covered above; this pins the validate() default and rejection.
+// TestEngineValidation: misuse that a goroutine-per-rank runtime would
+// hang on or silently mis-route is a loud error from the engine — a tag
+// beyond the route key's 32 bits, and a rooted collective whose ranks
+// disagree on the root (detected by the batched executor, which runs
+// inside a rank's handoff).
 func TestEngineValidation(t *testing.T) {
 	t.Parallel()
-	c := cfg(2, 1)
-	c.Engine = "threads"
-	if _, err := Run(c, func(*Rank) error { return nil }); err == nil {
-		t.Fatal("unknown engine must be rejected")
+	_, err := Run(cfg(2, 1), func(r *Rank) error {
+		if r.ID() == 0 {
+			r.SendFloats(1, 1<<33, []float64{1})
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "32-bit tag space") {
+		t.Fatalf("want tag-overflow error, got %v", err)
 	}
-	if eng, err := ParseEngine(""); err != nil || eng != EngineGoroutine {
-		t.Fatalf("ParseEngine default: %v %v", eng, err)
+	_, err = Run(cfg(4, 2), func(r *Rank) error {
+		r.Bcast(r.ID()%2, []float64{1})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "root mismatch") {
+		t.Fatalf("want root-mismatch error, got %v", err)
 	}
-	if eng, err := ParseEngine("event"); err != nil || eng != EngineEvent {
-		t.Fatalf("ParseEngine event: %v %v", eng, err)
+}
+
+// TestEngineAbortLeaksNoGoroutines: after a deadlock abort and after a
+// rank-error abort, every parked rank goroutine has unwound, so the
+// process goroutine count returns to where it started.
+func TestEngineAbortLeaksNoGoroutines(t *testing.T) {
+	// Not parallel: other tests' goroutines would skew the count.
+	bodies := map[string]func(*Rank) error{
+		"deadlock": func(r *Rank) error {
+			if r.ID()%3 == 0 {
+				r.Recv((r.ID()+1)%r.Size(), 99) // never sent
+			}
+			r.Compute(vecWork(10))
+			return nil
+		},
+		"rank error": func(r *Rank) error {
+			if r.ID() == 5 {
+				return fmt.Errorf("rank 5 gave up")
+			}
+			r.Barrier()
+			return nil
+		},
+		"root mismatch": func(r *Rank) error {
+			r.Reduce(r.ID()%2, []float64{1}, OpSum) // panics in the handoff
+			return nil
+		},
+		"split deadlock": func(r *Rank) error {
+			if r.ID() == 0 {
+				return nil // never joins the Split
+			}
+			r.Split(0, 0)
+			return nil
+		},
 	}
-	if _, err := ParseEngine("fibers"); err == nil {
-		t.Fatal("ParseEngine must reject unknown names")
+	for name, body := range bodies {
+		before := runtime.NumGoroutine()
+		if _, err := Run(cfg(12, 4), body); err == nil {
+			t.Fatalf("%s: want an abort error", name)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the abort, %d before", name, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
 // FuzzEngineEquivalence fuzzes the job shape — rank count, node count,
 // message size, noise seed/probability, compute skew — and asserts the
-// engines stay byte-identical. (Satellite: differential property test.)
+// engine stays byte-identical to the reference runtime.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(64), uint8(0), uint8(1))
 	f.Add(uint8(7), uint8(3), uint16(1), uint8(50), uint8(3))

@@ -1,31 +1,37 @@
 package simmpi
 
-// The discrete-event engine (JobConfig.Engine == EngineEvent).
+// The discrete-event engine: the simmpi runtime.
 //
-// All ranks of a job are driven by a single-threaded event loop. Rank
-// bodies still run on goroutines — Go has no first-class continuations —
-// but exactly one of them is runnable at any instant: the loop hands a
-// rank the execution token, the rank runs until it blocks (an empty-box
-// Recv, a world collective, a Split) or finishes, and hands the token
-// back. The loop then pops the next runnable rank from a binary-heap
-// ready queue keyed on (virtual time, rank, sequence).
+// All ranks of a job are driven as one single-threaded discrete-event
+// simulation. Rank bodies still run on goroutines — Go has no
+// first-class continuations — but exactly one of them holds the
+// execution token at any instant: it runs until it blocks (an empty-box
+// Recv, a world collective, a Split) or finishes, and then performs the
+// scheduling step itself (handoff): it fires a world collective every
+// rank has reached, pops the next runnable rank from a binary-heap
+// ready queue keyed on (virtual time, rank, sequence), and resumes that
+// rank over its 1-buffered channel. If it pops itself it carries on
+// without a switch. There is no scheduler goroutine, so a switch is one
+// channel send and one receive, not a rendezvous with a loop in
+// between.
 //
 // Correctness rests on the conservative virtual-time rule (see package
 // vclock): every inter-rank coupling happens through a message stamped
 // with its availability time, and a receive completes at
 // max(receiver clock, stamp). Any scheduling that runs a receive after
 // its matching send therefore produces bit-identical results — the
-// event loop's ordering is a real-time optimisation, never a semantic
-// choice. The differential suite in engine_test.go holds both engines
-// to that promise.
+// ready queue's ordering is a real-time optimisation, never a semantic
+// choice. The differential suite in engine_test.go holds the engine to
+// that promise against an independent goroutine-per-rank reference
+// runtime (reference_test.go).
 //
 // Three things make this engine fast at 10⁴–10⁵ ranks:
 //
 //   - World collectives are executed as one batched event (see
 //     collective_batch.go): when all p ranks have parked at the same
-//     collective, the loop replays each rank's exact per-rank message
-//     sequence in a dependency-valid cross-rank order, eliminating the
-//     ~2·p·log p goroutine context switches per collective.
+//     collective, the token holder replays each rank's exact per-rank
+//     message sequence in a dependency-valid cross-rank order,
+//     eliminating the ~2·p·log p context switches per collective.
 //   - Identical messages collapse onto shared symmetric state: the
 //     point-to-point model is a pure function of (hop count, bytes), so
 //     the engine memoises prices and the p equal-size transfers of a
@@ -40,7 +46,7 @@ import (
 	"a64fxbench/internal/vclock"
 )
 
-// rankState is where a rank currently is, from the loop's point of view.
+// rankState is where a rank currently is, from the engine's point of view.
 type rankState uint8
 
 const (
@@ -173,26 +179,27 @@ func routeKey(src, tag int) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(tag))
 }
 
-// engineKilled unwinds a parked rank goroutine when the loop aborts;
+// engineKilled unwinds a parked rank goroutine when the engine aborts;
 // the runner recognises it and exits without recording an error.
 type engineKilled struct{}
 
-// eventEngine is the per-job state of the discrete-event loop. It is
-// mutated by the loop goroutine and by whichever rank goroutine holds
-// the execution token — never by two goroutines at once, so it needs no
-// locks.
+// eventEngine is the per-job state of the discrete-event engine. It is
+// mutated only by the goroutine holding the execution token — never by
+// two goroutines at once, so it needs no locks: each handoff is a
+// channel send that orders the old holder's writes before the new
+// holder's reads.
 type eventEngine struct {
 	j     *job
 	ranks []*Rank
 	body  func(*Rank) error
 
-	// Token handoff: the loop resumes rank i by sending on resume[i];
-	// a rank hands the token back by sending on yield (when it parks
-	// or finishes). Both are unbuffered, so the handoff is a rendezvous.
-	resume  []chan struct{}
-	yield   chan struct{}
-	started []bool
-	state   []rankState
+	// resume[i] wakes rank i's goroutine; it is made (1-buffered, so
+	// the handoff send never blocks) when the rank is first dispatched,
+	// so a nil channel means the rank never started. exit closes when
+	// the last rank has finished or unwound.
+	resume []chan struct{}
+	exit   chan struct{}
+	state  []rankState
 
 	ready evHeap
 	seq   uint64
@@ -226,13 +233,19 @@ type eventEngine struct {
 
 	prices map[uint64]units.Duration
 
-	errs    []error
-	done    int
+	errs []error
+	done int
+
+	// Abort state: err is the stall diagnosis, and ranks below unwind
+	// have been unwound.
 	aborted bool
+	err     error
+	unwind  int
 }
 
 // runEventLoop executes body on every rank under the discrete-event
-// engine. It is the event-engine half of runRanks.
+// engine: it makes every rank runnable at time zero, hands the token to
+// the first, and waits for the exit signal.
 func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	p := len(ranks)
 	e := &eventEngine{
@@ -240,8 +253,7 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 		ranks:    ranks,
 		body:     body,
 		resume:   make([]chan struct{}, p),
-		yield:    make(chan struct{}),
-		started:  make([]bool, p),
+		exit:     make(chan struct{}),
 		state:    make([]rankState, p),
 		routes:   make([]map[uint64]*msgQueue, p),
 		collArgs: make([]collArgs, p),
@@ -252,18 +264,12 @@ func runEventLoop(j *job, ranks []*Rank, body func(*Rank) error) error {
 	e.ready.a = make([]evItem, 0, p)
 	for i := range ranks {
 		ranks[i].eng = e
-		e.resume[i] = make(chan struct{})
 		e.push(i, 0)
 	}
-	for e.done < p {
-		if e.collIn == p {
-			e.runCollective()
-			continue
-		}
-		if e.ready.len() == 0 {
-			return e.abort()
-		}
-		e.dispatch(e.ready.pop().rank)
+	e.handoff(-1)
+	<-e.exit
+	if e.err != nil {
+		return e.err
 	}
 	for _, err := range e.errs {
 		if err != nil {
@@ -280,20 +286,70 @@ func (e *eventEngine) push(i int, at vclock.Time) {
 	e.seq++
 }
 
-// dispatch hands the execution token to rank i and blocks until it
-// comes back (the rank parked or finished).
-func (e *eventEngine) dispatch(i int) {
-	if !e.started[i] {
-		e.started[i] = true
-		go e.runner(e.ranks[i])
-	} else {
-		e.resume[i] <- struct{}{}
+// handoff passes the execution token on. The token holder runs it —
+// rank self as it parks or finishes, or the launcher (self = -1) once
+// at the start — and it performs one scheduling step: fire a world
+// collective every rank has reached, pop the next ready rank, and
+// resume it. It reports whether self was popped, in which case self
+// keeps the token and carries on without a switch. When nothing is
+// runnable but ranks remain, the engine aborts (see unwindNext).
+func (e *eventEngine) handoff(self int) bool {
+	for !e.aborted {
+		if e.collIn == len(e.ranks) {
+			e.runCollective()
+			continue
+		}
+		if e.ready.len() == 0 {
+			if e.done == len(e.ranks) {
+				close(e.exit)
+				return false
+			}
+			e.err = e.stallError()
+			e.aborted = true
+			break
+		}
+		i := e.ready.pop().rank
+		if i == self {
+			return true
+		}
+		e.dispatch(i)
+		return false
 	}
-	<-e.yield
+	return e.unwindNext(self)
+}
+
+// dispatch resumes rank i, starting its goroutine on first dispatch.
+func (e *eventEngine) dispatch(i int) {
+	if e.resume[i] == nil {
+		e.resume[i] = make(chan struct{}, 1)
+		go e.runner(e.ranks[i])
+		return
+	}
+	e.resume[i] <- struct{}{}
+}
+
+// unwindNext is the token holder's step once the engine has aborted:
+// the parked ranks unwind one after another. A holder that is itself
+// parked unwinds first (park panics engineKilled when handoff returns
+// true); every unwound rank's runner comes back here and resumes the
+// next parked rank, and the last one signals exit. Every not-finished
+// rank has started by then — an unstarted one would still be ready.
+func (e *eventEngine) unwindNext(self int) bool {
+	if self >= 0 && e.state[self] != stateDone {
+		return true
+	}
+	for ; e.unwind < len(e.ranks); e.unwind++ {
+		if i := e.unwind; e.state[i] != stateDone {
+			e.resume[i] <- struct{}{}
+			return false
+		}
+	}
+	close(e.exit)
+	return false
 }
 
 // runner is a rank goroutine: it owns the token on entry and whenever
-// park returns, and surrenders it exactly once on exit.
+// park returns, and passes it on exactly once on exit.
 func (e *eventEngine) runner(r *Rank) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -303,18 +359,19 @@ func (e *eventEngine) runner(r *Rank) {
 		}
 		e.state[r.id] = stateDone
 		e.done++
-		e.yield <- struct{}{}
+		e.handoff(r.id)
 	}()
 	if err := e.body(r); err != nil {
 		e.errs[r.id] = err
 	}
 }
 
-// park surrenders the token and blocks until the loop resumes this
-// rank. Must be called from r's own goroutine while it holds the token.
+// park passes the token on and blocks until this rank is resumed. Must
+// be called from r's own goroutine while it holds the token.
 func (e *eventEngine) park(r *Rank) {
-	e.yield <- struct{}{}
-	<-e.resume[r.id]
+	if !e.handoff(r.id) {
+		<-e.resume[r.id]
+	}
 	if e.aborted {
 		panic(engineKilled{})
 	}
@@ -404,10 +461,12 @@ func (e *eventEngine) collective(r *Rank, a collArgs) any {
 // runCollective fires once every rank has parked at the same world
 // collective: the batched executor replays each rank's exact message
 // sequence, then all ranks become runnable at their post-collective
-// clocks.
+// clocks. The rendezvous is cleared first, so a panic in the executor
+// (a root mismatch) leaves the ranks parked and the engine aborts with
+// the panicking holder's error instead of re-firing the collective.
 func (e *eventEngine) runCollective() {
-	runBatched(e, e.collKind, e.collArgs, e.collRes)
 	e.collIn = 0
+	runBatched(e, e.collKind, e.collArgs, e.collRes)
 	for i, r := range e.ranks {
 		e.collArgs[i] = collArgs{}
 		e.push(i, r.clock.Now())
@@ -433,37 +492,23 @@ func (e *eventEngine) splitWait(r *Rank, done <-chan struct{}) {
 	}
 }
 
-// abort reports why the loop stalled — a rank's error if one occurred,
-// otherwise a deadlock diagnosis — and unwinds every parked goroutine
-// so nothing leaks. (The goroutine engine hangs forever on the same
-// programs; erroring out is the stricter behaviour.)
-func (e *eventEngine) abort() error {
-	var err error
-	for _, rerr := range e.errs {
-		if rerr != nil {
-			err = rerr
-			break
+// stallError reports why the engine stalled — a rank's error if one
+// occurred, otherwise a deadlock diagnosis.
+func (e *eventEngine) stallError() error {
+	for _, err := range e.errs {
+		if err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		var inRecv, inSplit int
-		for _, s := range e.state {
-			switch s {
-			case stateRecv:
-				inRecv++
-			case stateSplit:
-				inSplit++
-			}
-		}
-		err = fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv, %d in split",
-			e.done, len(e.ranks), e.collIn, inRecv, inSplit)
-	}
-	e.aborted = true
-	for i := range e.ranks {
-		if e.started[i] && e.state[i] != stateDone {
-			e.resume[i] <- struct{}{}
-			<-e.yield
+	var inRecv, inSplit int
+	for _, s := range e.state {
+		switch s {
+		case stateRecv:
+			inRecv++
+		case stateSplit:
+			inSplit++
 		}
 	}
-	return err
+	return fmt.Errorf("simmpi: event engine deadlock: %d/%d ranks finished, %d parked in a collective, %d on recv, %d in split",
+		e.done, len(e.ranks), e.collIn, inRecv, inSplit)
 }

@@ -1,32 +1,32 @@
 // Engine throughput at scale: the weak-scaled HPCG scenario (see
 // hpcg.EngineScaleConfig) measured in simulated ranks per wall-clock
-// second under both engines. The always-on test pins correctness at a
-// moderate scale; the expensive speedup and 100k-rank assertions are
-// env-gated so they run in the dedicated CI bench step, not in every
-// `go test ./...`.
+// second. The always-on test pins correctness at a moderate scale; the
+// expensive throughput and 100k-rank assertions are env-gated so they
+// run in the dedicated CI bench step, not in every `go test ./...`.
 package simmpi_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
 	"a64fxbench/internal/arch"
 	"a64fxbench/internal/hpcg"
-	"a64fxbench/internal/simmpi"
 )
 
 // runScale executes the weak-scaled scenario once and reports the
 // result with its wall-clock duration.
-func runScale(tb testing.TB, nodes int, eng simmpi.Engine) (hpcg.Result, time.Duration) {
+func runScale(tb testing.TB, nodes int) (hpcg.Result, time.Duration) {
 	tb.Helper()
 	start := time.Now()
-	res, err := hpcg.Run(hpcg.EngineScaleConfig(arch.MustGet(arch.A64FX), nodes, eng))
+	res, err := hpcg.Run(hpcg.EngineScaleConfig(arch.MustGet(arch.A64FX), nodes))
 	if err != nil {
-		tb.Fatalf("%s engine, %d nodes: %v", eng, nodes, err)
+		tb.Fatalf("%d nodes: %v", nodes, err)
 	}
 	return res, time.Since(start)
 }
@@ -41,67 +41,95 @@ func scaleOutcome(res hpcg.Result) [4]uint64 {
 	}
 }
 
+// scaleOutcome96 is the scale scenario's outcome at 2 nodes (96
+// ranks): makespan, GFLOP/s bits, messages and bytes, as the
+// goroutine-per-rank runtime and the event engine both computed it
+// when the two were compared side by side on every run.
+var scaleOutcome96 = [4]uint64{0x78fe4, 0x40509b4810618f22, 0x1c00, 0x1e1400}
+
 // TestEngineScaleDifferential runs the scale scenario at a moderate
-// size under both engines and demands identical results — the same
-// bit-identity contract the full differential suite pins, exercised on
+// size and demands the pinned outcome — the bit-identity contract the
+// differential suite holds against the reference runtime, exercised on
 // the exact workload the throughput numbers are quoted on.
 func TestEngineScaleDifferential(t *testing.T) {
 	t.Parallel()
-	gor, _ := runScale(t, 2, simmpi.EngineGoroutine) // 96 ranks
-	evt, _ := runScale(t, 2, simmpi.EngineEvent)
-	if scaleOutcome(gor) != scaleOutcome(evt) {
-		t.Fatalf("engines diverged at 96 ranks:\n goroutine %+v\n event     %+v",
-			scaleOutcome(gor), scaleOutcome(evt))
-	}
-	if gor.Report.Makespan <= 0 || gor.Report.TotalMsgs == 0 {
-		t.Fatalf("degenerate scenario: %+v", scaleOutcome(gor))
+	res, _ := runScale(t, 2) // 96 ranks
+	if got := scaleOutcome(res); got != scaleOutcome96 {
+		t.Fatalf("scale scenario at 96 ranks: outcome %#x, pinned %#x", got, scaleOutcome96)
 	}
 }
 
-// TestEngineScaleSpeedup is the throughput gate for the event engine's
-// reason to exist: at 4096+ ranks it must out-simulate the goroutine
-// engine per core. Both engines share sendCore/recvCore (the price of
-// bit-identity), so that shared accounting floors the achievable ratio:
-// measured on a dedicated core the event engine runs ~1.8× at 4128
-// ranks, widening to ~2× at 100k as the goroutine scheduler's per-rank
-// costs grow. The gate asserts a conservative 1.2× so scheduler noise
-// never flakes it while any regression that erases the event engine's
-// advantage still fails; the finer-grained 10%-ratio regression fence
-// is `a64fxbench enginebench -baseline` against BENCH_engine.json.
-// GOMAXPROCS is pinned to 1 for the measurement because a single-
-// threaded DES versus a parallel scheduler is only comparable per core.
-// Wall-clock assertions are noisy on shared runners, so this only runs
-// when the CI bench step (or a developer) opts in via A64FX_ENGINE_SMOKE=1.
+// TestEngineScaleSpeedup is the timed throughput smoke at 4128 ranks:
+// at GOMAXPROCS=1 and 2 it measures simulated ranks/s times the
+// seconds hpcg.RefLoop takes in the same process — the host-independent
+// score BENCH_engine.json records — and demands each reach two thirds
+// of the committed row's score, with the simulated outcome unchanged.
+// The margin is wide so scheduler noise on a shared runner never flakes
+// it, while a regression that loses a third of the engine's speed still
+// fails; the 15% regression fence is `a64fxbench enginebench` against
+// the same file. Wall-clock assertions are noisy on shared runners, so
+// this only runs when the CI bench step (or a developer) opts in via
+// A64FX_ENGINE_SMOKE=1.
 func TestEngineScaleSpeedup(t *testing.T) {
 	if os.Getenv("A64FX_ENGINE_SMOKE") == "" {
-		t.Skip("set A64FX_ENGINE_SMOKE=1 to run the timed speedup gate")
+		t.Skip("set A64FX_ENGINE_SMOKE=1 to run the timed throughput smoke")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const nodes = 86 // 4128 ranks ≥ the 4096 floor
-	gor, gorWall := runScale(t, nodes, simmpi.EngineGoroutine)
-	evt, evtWall := runScale(t, nodes, simmpi.EngineEvent)
-	if scaleOutcome(gor) != scaleOutcome(evt) {
-		t.Fatalf("engines diverged at %d ranks", gor.Procs)
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	speedup := gorWall.Seconds() / evtWall.Seconds()
-	ranksPerSec := float64(evt.Procs) / evtWall.Seconds()
-	t.Logf("%d ranks: goroutine %v, event %v — %.1f× (event: %.0f ranks/s)",
-		evt.Procs, gorWall.Round(time.Millisecond), evtWall.Round(time.Millisecond),
-		speedup, ranksPerSec)
-	if speedup < 1.2 {
-		t.Fatalf("event engine only %.2f× the goroutine engine per core at %d ranks; want ≥ 1.2×", speedup, evt.Procs)
+	var base struct {
+		Rows []struct {
+			GOMAXPROCS int     `json:"gomaxprocs"`
+			Msgs       int64   `json:"msgs"`
+			MakespanNS int64   `json:"makespan_ns"`
+			Score      float64 `json:"score"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Rows) == 0 {
+		t.Fatal("BENCH_engine.json has no rows")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const nodes = 86 // 4128 ranks, the BENCH_engine.json scenario
+	for _, row := range base.Rows {
+		runtime.GOMAXPROCS(row.GOMAXPROCS)
+		var best, ref time.Duration
+		var res hpcg.Result
+		for rep := 0; rep < 3; rep++ {
+			if d := hpcg.RefLoop(); rep == 0 || d < ref {
+				ref = d
+			}
+			runtime.GC()
+			r, wall := runScale(t, nodes)
+			if rep == 0 || wall < best {
+				res, best = r, wall
+			}
+		}
+		if res.Report.TotalMsgs != row.Msgs || int64(res.Report.Makespan) != row.MakespanNS {
+			t.Fatalf("GOMAXPROCS=%d: simulated %d msgs over %v, BENCH_engine.json has %d over %dns",
+				row.GOMAXPROCS, res.Report.TotalMsgs, res.Report.Makespan, row.Msgs, row.MakespanNS)
+		}
+		score := float64(res.Procs) / best.Seconds() * ref.Seconds()
+		t.Logf("GOMAXPROCS=%d: %d ranks in %v (%.0f ranks/s), ref loop %v: score %.1f (committed %.1f)",
+			row.GOMAXPROCS, res.Procs, best.Round(time.Millisecond), float64(res.Procs)/best.Seconds(),
+			ref.Round(time.Microsecond), score, row.Score)
+		if score < row.Score*2/3 {
+			t.Errorf("GOMAXPROCS=%d: score %.1f is below two thirds of the committed %.1f", row.GOMAXPROCS, score, row.Score)
+		}
 	}
 }
 
 // TestEngine100kRankSmoke runs the full 100,032-rank weak-scaled HPCG
-// scenario under the event engine and enforces the CI wall-clock
-// budget. Env-gated for the same reason as the speedup test.
+// scenario and enforces the CI wall-clock budget. Env-gated for the same reason as the speedup test.
 func TestEngine100kRankSmoke(t *testing.T) {
 	if os.Getenv("A64FX_SMOKE_100K") == "" {
 		t.Skip("set A64FX_SMOKE_100K=1 to run the 100k-rank smoke")
 	}
 	const budget = 5 * time.Minute
-	res, wall := runScale(t, hpcg.ScaleSmokeNodes, simmpi.EngineEvent)
+	res, wall := runScale(t, hpcg.ScaleSmokeNodes)
 	if res.Procs < 100000 {
 		t.Fatalf("smoke ran %d ranks, want ≥ 100000", res.Procs)
 	}
@@ -116,23 +144,19 @@ func TestEngine100kRankSmoke(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRanksPerSec measures simulated-ranks/sec for both
-// engines across scales. The custom ranks/s metric is the headline
-// number; wall time per op is the full scenario execution.
+// BenchmarkEngineRanksPerSec measures simulated-ranks/sec across
+// scales. The custom ranks/s metric is the headline number; wall time
+// per op is the full scenario execution.
 func BenchmarkEngineRanksPerSec(b *testing.B) {
-	for _, eng := range []simmpi.Engine{simmpi.EngineGoroutine, simmpi.EngineEvent} {
-		for _, nodes := range []int{2, 11, 86} { // 96, 528, 4128 ranks
-			procs := nodes * 48
-			b.Run(fmt.Sprintf("%s/ranks=%d", eng, procs), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := hpcg.Run(hpcg.EngineScaleConfig(arch.MustGet(arch.A64FX), nodes, eng))
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = res
+	for _, nodes := range []int{2, 11, 86} { // 96, 528, 4128 ranks
+		procs := nodes * 48
+		b.Run(fmt.Sprintf("ranks=%d", procs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := hpcg.Run(hpcg.EngineScaleConfig(arch.MustGet(arch.A64FX), nodes)); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(procs*b.N)/b.Elapsed().Seconds(), "ranks/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(procs*b.N)/b.Elapsed().Seconds(), "ranks/s")
+		})
 	}
 }

@@ -1,7 +1,8 @@
 // Package simmpi is a message-passing runtime for simulated parallel
-// jobs: MPI ranks execute as goroutines, real data moves between them
-// through channels, and every operation is priced in virtual time by the
-// perfmodel (compute) and netmodel (communication) packages.
+// jobs: MPI rank bodies run under a single-threaded discrete-event
+// engine (event.go), real data moves between them in messages, and
+// every operation is priced in virtual time by the perfmodel (compute)
+// and netmodel (communication) packages.
 //
 // The design keeps the classic MPI shape — ranks, tags, point-to-point
 // sends and receives, and collectives built from them — so the benchmark
@@ -12,9 +13,9 @@
 //
 // Collectives are implemented as real message patterns (dissemination
 // barrier, recursive-doubling allreduce, binomial broadcast, ring
-// allgather), so their virtual-time behaviour — including load imbalance
-// arriving at a collective — emerges from the runtime rather than from a
-// closed-form formula.
+// allgather), replayed rank by rank, so their virtual-time behaviour —
+// including load imbalance arriving at a collective — emerges from the
+// runtime rather than from a closed-form formula.
 package simmpi
 
 import (
@@ -31,40 +32,6 @@ import (
 	"a64fxbench/internal/units"
 	"a64fxbench/internal/vclock"
 )
-
-// Engine selects the execution substrate that drives the simulated
-// ranks. Both engines implement the same virtual-time semantics and are
-// bit-identical in every observable output (reports, traces, counters,
-// link heatmaps); they differ only in how rank bodies are scheduled in
-// real time.
-type Engine string
-
-// The available engines.
-const (
-	// EngineGoroutine (the default) runs every rank as its own
-	// goroutine with channel-backed mailboxes — simple, parallel across
-	// cores, and fine up to a few thousand ranks.
-	EngineGoroutine Engine = "goroutine"
-	// EngineEvent runs all ranks under a single-threaded discrete-event
-	// loop: rank bodies become coroutine-style continuations that yield
-	// at the blocking points (Recv, collectives, Split), a binary-heap
-	// ready queue keyed on (virtual time, rank, sequence) picks the next
-	// continuation, and world collectives are executed as one batched
-	// event instead of N point-to-point rendezvous. This is the engine
-	// for 10⁴–10⁵ rank jobs.
-	EngineEvent Engine = "event"
-)
-
-// ParseEngine resolves a CLI-style engine name ("" means the default).
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case "", EngineGoroutine:
-		return EngineGoroutine, nil
-	case EngineEvent:
-		return EngineEvent, nil
-	}
-	return "", fmt.Errorf("simmpi: unknown engine %q (want %q or %q)", s, EngineGoroutine, EngineEvent)
-}
 
 // JobConfig describes one simulated parallel job.
 type JobConfig struct {
@@ -126,16 +93,11 @@ type JobConfig struct {
 	// Label names the job in trace output (EvJobBegin/EvJobEnd markers);
 	// empty defaults to "job p=<Procs>".
 	Label string
-	// Engine selects the execution substrate (see Engine). The empty
-	// value means EngineGoroutine. Results are bit-identical across
-	// engines; Engine is therefore an execution detail, like the worker
-	// count of a sweep, and never part of an artifact's identity.
-	Engine Engine
 	// Model selects the analytic model pricing compute phases: the
 	// calibrated roofline (the empty default) or the ECM memory-
-	// hierarchy model (perfmodel.ModelECM). Unlike Engine, the model
-	// changes simulated results, so it is part of every artifact's
-	// identity (core.OptionsKey.Model).
+	// hierarchy model (perfmodel.ModelECM). The model changes simulated
+	// results, so it is part of every artifact's identity
+	// (core.OptionsKey.Model).
 	Model perfmodel.Model
 	// Telemetry, when non-nil, is the parent span the runtime hangs the
 	// job's phase spans under: setup, the congestion record/solve
@@ -179,13 +141,6 @@ func (c *JobConfig) validate() error {
 		perNode := (c.Procs + c.Nodes - 1) / c.Nodes
 		c.NodeOf = func(r int) int { return r / perNode }
 	}
-	switch c.Engine {
-	case "":
-		c.Engine = EngineGoroutine
-	case EngineGoroutine, EngineEvent:
-	default:
-		return fmt.Errorf("simmpi: unknown engine %q", c.Engine)
-	}
 	model, err := perfmodel.ParseModel(string(c.Model))
 	if err != nil {
 		return err
@@ -214,22 +169,40 @@ type message struct {
 	avail   vclock.Time
 }
 
-// mailboxKey routes messages: exact (src, dst, tag) matching, FIFO order.
-type mailboxKey struct {
-	src, dst, tag int
-}
-
 // job is the shared state of a running simulated job.
 type job struct {
 	cfg     JobConfig
 	congest *congestState // nil unless Congestion is on and Nodes > 1
-	boxes   boxTable      // goroutine-engine mailboxes (see mailbox.go)
 
 	// Split coordination (see comm.go).
 	splitMu  sync.Mutex
 	splits   map[int]*splitState
 	splitSeq map[int]int
 }
+
+// scheduler is what a rank needs from the runtime that drives it:
+// message delivery and matching, the world-collective and Split
+// rendezvous, and point-to-point pricing. The discrete-event engine
+// (event.go) is the runtime; the interface is the seam through which
+// the package's tests drive the same rank code under an independent
+// goroutine-per-rank reference, the oracle the engine is checked
+// against.
+type scheduler interface {
+	// post delivers a priced message; sends never block.
+	post(src, dst, tag int, m message)
+	// await blocks r until the next message from src with tag arrives.
+	await(r *Rank, src, tag int) message
+	// collective runs r's part of a world collective and returns its
+	// per-rank result.
+	collective(r *Rank, a collArgs) any
+	// splitWait blocks r until done closes (the Split rendezvous).
+	splitWait(r *Rank, done <-chan struct{})
+	// price is the contention-free point-to-point cost of bytes.
+	price(srcNode, dstNode int, bytes units.Bytes) units.Duration
+}
+
+// runner executes body on every rank of a job under one scheduler.
+type runner func(j *job, ranks []*Rank, body func(*Rank) error) error
 
 // Stats accumulates one rank's activity.
 type Stats struct {
@@ -253,7 +226,7 @@ type Rank struct {
 	clock    *vclock.Clock
 	model    *perfmodel.CostModel
 	job      *job
-	eng      *eventEngine // nil under the goroutine engine
+	eng      scheduler
 	stats    Stats
 	noiseSeq uint64
 	events   []Event
@@ -396,9 +369,9 @@ func (r *Rank) Elapse(d units.Duration) {
 
 // sendCore prices one outgoing message and performs every per-rank side
 // effect of a send — clock, PMU, statistics, congestion flows, and the
-// trace event — but leaves delivery to the caller. Both engines and the
-// batched collective executor share it, which is what makes their
-// observable outputs bit-identical by construction.
+// trace event — but leaves delivery to the caller. Point-to-point sends
+// and the batched collective executor share it, so a message costs the
+// same whichever path moves it.
 func (r *Rank) sendCore(dst, tag int, payload any, bytes units.Bytes) message {
 	m := r.sendFloatsCore(dst, tag, nil, bytes)
 	m.payload = payload
@@ -430,12 +403,10 @@ func (r *Rank) sendFloatsCore(dst, tag int, data []float64, bytes units.Bytes) m
 		} else {
 			total = f.PointToPointDilated(r.node, dstNode, bytes, cs.sol.Dilation(k))
 		}
-	} else if r.eng != nil {
+	} else {
 		// Contention-free pricing is a pure function of (hops, bytes);
 		// the event engine memoises it (see eventEngine.price).
 		total = r.eng.price(r.node, dstNode, bytes)
-	} else {
-		total = f.PointToPoint(r.node, dstNode, bytes)
 	}
 	// The sender's CPU is occupied for the injection overhead; the rest
 	// of the transfer overlaps with whatever the sender does next.
@@ -488,13 +459,9 @@ func (r *Rank) recvFloatsCore(m message, src, tag int) []float64 {
 	return m.floats
 }
 
-// deliver hands a priced message to the active engine's matching layer.
+// deliver hands a priced message to the scheduler's matching layer.
 func (r *Rank) deliver(dst, tag int, m message) {
-	if r.eng != nil {
-		r.eng.post(r.id, dst, tag, m)
-		return
-	}
-	r.job.boxes.send(mailboxKey{r.id, dst, tag}, m)
+	r.eng.post(r.id, dst, tag, m)
 }
 
 // fetch blocks until a message from src with the given tag is matched.
@@ -502,10 +469,7 @@ func (r *Rank) fetch(src, tag int) message {
 	if src < 0 || src >= r.size {
 		panic(fmt.Sprintf("simmpi: recv from invalid rank %d (size %d)", src, r.size))
 	}
-	if r.eng != nil {
-		return r.eng.await(r, src, tag)
-	}
-	return r.job.boxes.recv(mailboxKey{src, r.id, tag})
+	return r.eng.await(r, src, tag)
 }
 
 // Send transmits payload to rank dst with the given tag. The payload's
@@ -552,7 +516,7 @@ const (
 )
 
 // collBegin opens a collective for PMU time attribution and returns
-// its start time; collEnd (deferred) closes it. Only the outermost
+// its start time; collEnd closes it. Only the outermost
 // collective attributes — nested ones (e.g. the non-power-of-two
 // ReduceScatter path reducing to a root) are part of their parent.
 func (r *Rank) collBegin() vclock.Time {
@@ -567,23 +531,17 @@ func (r *Rank) collEnd(c metrics.Collective, start vclock.Time) {
 	}
 }
 
+// World collectives. Every rank of the job parks at the collective;
+// once the last one arrives the engine executes it as one batched event
+// (collective_batch.go), replaying each rank's exact message sequence
+// of the algorithm named on each method below.
+
 // Barrier synchronises all ranks with a dissemination barrier.
 func (r *Rank) Barrier() {
-	p := r.size
-	if p == 1 {
+	if r.size == 1 {
 		return
 	}
-	if r.eng != nil {
-		r.eng.collective(r, collArgs{kind: collBarrier})
-		return
-	}
-	defer r.collEnd(metrics.CollBarrier, r.collBegin())
-	for k, round := 1, 0; k < p; k, round = k<<1, round+1 {
-		dst := (r.id + k) % p
-		src := (r.id - k + p) % p
-		r.Send(dst, tagBarrier+round, nil, 0)
-		r.Recv(src, tagBarrier+round)
-	}
+	r.eng.collective(r, collArgs{kind: collBarrier})
 }
 
 // Op is a reduction operator for float64 elements.
@@ -600,61 +558,10 @@ var (
 // the result in buf on every rank. It uses recursive doubling with the
 // standard pre/post folding for non-power-of-two sizes.
 func (r *Rank) Allreduce(buf []float64, op Op) {
-	p := r.size
-	if p == 1 {
+	if r.size == 1 {
 		return
 	}
-	if r.eng != nil {
-		r.eng.collective(r, collArgs{kind: collAllreduce, buf: buf, op: op})
-		return
-	}
-	defer r.collEnd(metrics.CollAllreduce, r.collBegin())
-	// pof2 is the largest power of two ≤ p.
-	pof2 := 1
-	for pof2*2 <= p {
-		pof2 *= 2
-	}
-	rem := p - pof2
-	id := r.id
-	// Phase 1: the first 2*rem ranks fold pairs so pof2 ranks remain.
-	newID := -1
-	switch {
-	case id < 2*rem && id%2 == 0:
-		// Sends data to the odd partner and drops out.
-		r.SendFloats(id+1, tagReduce, append([]float64(nil), buf...))
-	case id < 2*rem:
-		other := r.RecvFloats(id-1, tagReduce)
-		for i := range buf {
-			buf[i] = op(buf[i], other[i])
-		}
-		newID = id / 2
-	default:
-		newID = id - rem
-	}
-	// Phase 2: recursive doubling among the pof2 survivors.
-	if newID >= 0 {
-		for mask := 1; mask < pof2; mask <<= 1 {
-			partnerNew := newID ^ mask
-			var partner int
-			if partnerNew < rem {
-				partner = partnerNew*2 + 1
-			} else {
-				partner = partnerNew + rem
-			}
-			other := r.Sendrecv(partner, tagReduce+1+mask, append([]float64(nil), buf...))
-			for i := range buf {
-				buf[i] = op(buf[i], other[i])
-			}
-		}
-	}
-	// Phase 3: survivors return results to the dropped-out ranks.
-	switch {
-	case id < 2*rem && id%2 == 0:
-		res := r.RecvFloats(id+1, tagReduce+2)
-		copy(buf, res)
-	case id < 2*rem:
-		r.SendFloats(id-1, tagReduce+2, append([]float64(nil), buf...))
-	}
+	r.eng.collective(r, collArgs{kind: collAllreduce, buf: buf, op: op})
 }
 
 // AllreduceScalar reduces a single value across ranks.
@@ -667,100 +574,38 @@ func (r *Rank) AllreduceScalar(v float64, op Op) float64 {
 // Bcast distributes root's buf to every rank via a binomial tree and
 // returns the (possibly replaced) slice.
 func (r *Rank) Bcast(root int, buf []float64) []float64 {
-	p := r.size
-	if p == 1 {
+	if r.size == 1 {
 		return buf
 	}
-	if r.eng != nil {
-		return r.eng.collective(r, collArgs{kind: collBcast, buf: buf, root: root}).([]float64)
-	}
-	defer r.collEnd(metrics.CollBcast, r.collBegin())
-	// Rotate so the root is virtual rank 0.
-	vrank := (r.id - root + p) % p
-	// Receive from parent (highest set bit), then forward down.
-	if vrank != 0 {
-		mask := 1
-		for mask <= vrank {
-			mask <<= 1
-		}
-		mask >>= 1
-		parent := ((vrank - mask) + root) % p
-		buf = r.RecvFloats(parent, tagBcast)
-	}
-	// Children: vrank + m for each m > current highest bit, m < p.
-	low := 1
-	for low <= vrank {
-		low <<= 1
-	}
-	for m := low; vrank+m < p; m <<= 1 {
-		child := (vrank + m + root) % p
-		r.SendFloats(child, tagBcast, append([]float64(nil), buf...))
-	}
-	return buf
+	return r.eng.collective(r, collArgs{kind: collBcast, buf: buf, root: root}).([]float64)
 }
 
 // Reduce combines buf onto the root (binomial tree). Non-root ranks'
 // buffers are left partially combined, as in MPI.
 func (r *Rank) Reduce(root int, buf []float64, op Op) {
-	p := r.size
-	if p == 1 {
+	if r.size == 1 {
 		return
 	}
-	if r.eng != nil {
-		r.eng.collective(r, collArgs{kind: collReduce, buf: buf, op: op, root: root})
-		return
-	}
-	defer r.collEnd(metrics.CollReduce, r.collBegin())
-	vrank := (r.id - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask == 0 {
-			partner := vrank | mask
-			if partner < p {
-				other := r.RecvFloats((partner+root)%p, tagReduce+3)
-				for i := range buf {
-					buf[i] = op(buf[i], other[i])
-				}
-			}
-		} else {
-			parent := vrank &^ mask
-			r.SendFloats((parent+root)%p, tagReduce+3, append([]float64(nil), buf...))
-			return
-		}
-		mask <<= 1
-	}
+	r.eng.collective(r, collArgs{kind: collReduce, buf: buf, op: op, root: root})
 }
 
 // Allgather concatenates each rank's contribution, in rank order, on all
 // ranks using the ring algorithm. Each contribution must have length n.
 func (r *Rank) Allgather(contrib []float64) []float64 {
-	p := r.size
 	n := len(contrib)
-	out := make([]float64, n*p)
+	out := make([]float64, n*r.size)
 	copy(out[r.id*n:], contrib)
-	if p == 1 {
+	if r.size == 1 {
 		return out
 	}
-	if r.eng != nil {
-		return r.eng.collective(r, collArgs{kind: collAllgather, buf: contrib, out: out}).([]float64)
-	}
-	defer r.collEnd(metrics.CollAllgather, r.collBegin())
-	right := (r.id + 1) % p
-	left := (r.id - 1 + p) % p
-	cur := r.id
-	block := append([]float64(nil), contrib...)
-	for step := 0; step < p-1; step++ {
-		r.SendFloats(right, tagGather+step, block)
-		block = r.RecvFloats(left, tagGather+step)
-		cur = (cur - 1 + p) % p
-		copy(out[cur*n:], block)
-	}
-	return out
+	return r.eng.collective(r, collArgs{kind: collAllgather, buf: contrib, out: out}).([]float64)
 }
 
 // Alltoall performs a pairwise-exchange all-to-all: send[i] goes to rank
 // i, and the returned slice holds what each rank sent to us, indexed by
-// source. Each send[i] must have equal length.
+// source. Each send[i] must have equal length. Power-of-two sizes use
+// the XOR exchange, others the rotation schedule. Send blocks are only
+// read, so one block may be passed for several peers.
 func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	p := r.size
 	if len(send) != p {
@@ -771,80 +616,22 @@ func (r *Rank) Alltoall(send [][]float64) [][]float64 {
 	if p == 1 {
 		return recv
 	}
-	if r.eng != nil {
-		return r.eng.collective(r, collArgs{kind: collAlltoall, mat: send, recvMat: recv}).([][]float64)
-	}
-	defer r.collEnd(metrics.CollAlltoall, r.collBegin())
-	if p&(p-1) == 0 {
-		// Power of two: XOR pairwise exchange.
-		for step := 1; step < p; step++ {
-			partner := r.id ^ step
-			recv[partner] = r.Sendrecv(partner, tagA2A+step, send[partner])
-		}
-		return recv
-	}
-	// General case: rotation schedule — every rank sends to (id+step)
-	// and receives from (id-step) each step, so all steps match.
-	for step := 1; step < p; step++ {
-		dst := (r.id + step) % p
-		src := (r.id - step + p) % p
-		r.SendFloats(dst, tagA2A+step, send[dst])
-		recv[src] = r.RecvFloats(src, tagA2A+step)
-	}
-	return recv
+	return r.eng.collective(r, collArgs{kind: collAlltoall, mat: send, recvMat: recv}).([][]float64)
 }
 
 // ReduceScatter reduces buf element-wise across ranks and scatters the
 // result: rank i receives the reduced block i of the p equal blocks of
 // buf (len(buf) must be divisible by p). Implemented as the first half
-// of Rabenseifner's allreduce: pairwise exchange with recursive halving.
+// of Rabenseifner's allreduce: pairwise exchange with recursive halving
+// (non-power-of-two sizes reduce to rank 0 and scatter instead).
 func (r *Rank) ReduceScatter(buf []float64, op Op) []float64 {
-	p := r.size
-	n := len(buf)
-	if n%p != 0 {
-		panic(fmt.Sprintf("simmpi: ReduceScatter length %d not divisible by %d ranks", n, p))
+	if len(buf)%r.size != 0 {
+		panic(fmt.Sprintf("simmpi: ReduceScatter length %d not divisible by %d ranks", len(buf), r.size))
 	}
-	blk := n / p
-	if p == 1 {
+	if r.size == 1 {
 		return append([]float64(nil), buf...)
 	}
-	if r.eng != nil {
-		return r.eng.collective(r, collArgs{kind: collReduceScatter, buf: buf, op: op}).([]float64)
-	}
-	defer r.collEnd(metrics.CollReduceScatter, r.collBegin())
-	if p&(p-1) != 0 {
-		// Non-power-of-two: reduce to root then scatter (simple and
-		// correct; the common benchmark sizes are powers of two).
-		work := append([]float64(nil), buf...)
-		r.Reduce(0, work, op)
-		if r.id == 0 {
-			for dst := 1; dst < p; dst++ {
-				r.SendFloats(dst, tagRS, work[dst*blk:(dst+1)*blk])
-			}
-			return append([]float64(nil), work[:blk]...)
-		}
-		return r.RecvFloats(0, tagRS)
-	}
-	// Recursive halving: at each step exchange the half of the buffer
-	// the partner is responsible for.
-	work := append([]float64(nil), buf...)
-	lo, hi := 0, n
-	for mask := p >> 1; mask >= 1; mask >>= 1 {
-		partner := r.id ^ mask
-		mid := (lo + hi) / 2
-		var sendLo, sendHi, keepLo, keepHi int
-		if r.id&mask == 0 {
-			sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
-		} else {
-			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
-		}
-		other := r.Sendrecv(partner, tagRS+1+mask, append([]float64(nil), work[sendLo:sendHi]...))
-		for i := keepLo; i < keepHi; i++ {
-			work[i] = op(work[i], other[i-keepLo])
-		}
-		lo, hi = keepLo, keepHi
-	}
-	return append([]float64(nil), work[lo:hi]...)
+	return r.eng.collective(r, collArgs{kind: collReduceScatter, buf: buf, op: op}).([]float64)
 }
 
 // ExScan computes the exclusive prefix reduction: rank i receives
@@ -852,29 +639,10 @@ func (r *Rank) ReduceScatter(buf []float64, op Op) []float64 {
 // additive identity — intended for OpSum-style operators). Linear
 // pipeline implementation.
 func (r *Rank) ExScan(buf []float64, op Op) []float64 {
-	if r.eng != nil && r.size > 1 {
-		return r.eng.collective(r, collArgs{kind: collExScan, buf: buf, op: op}).([]float64)
+	if r.size == 1 {
+		return make([]float64, len(buf))
 	}
-	if r.size > 1 {
-		defer r.collEnd(metrics.CollExScan, r.collBegin())
-	}
-	out := make([]float64, len(buf))
-	if r.id > 0 {
-		prev := r.RecvFloats(r.id-1, tagScan)
-		copy(out, prev)
-	}
-	if r.id < r.size-1 {
-		next := make([]float64, len(buf))
-		if r.id == 0 {
-			copy(next, buf)
-		} else {
-			for i := range next {
-				next[i] = op(out[i], buf[i])
-			}
-		}
-		r.SendFloats(r.id+1, tagScan, next)
-	}
-	return out
+	return r.eng.collective(r, collArgs{kind: collExScan, buf: buf, op: op}).([]float64)
 }
 
 // RankResult captures one rank's final accounting.
@@ -924,6 +692,12 @@ func (rep Report) Seconds() float64 { return rep.Makespan.Seconds() }
 // aggregated report. The first non-nil error from any rank aborts the
 // report (but all goroutines are still joined).
 func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
+	return run(cfg, body, runEventLoop)
+}
+
+// run is Run under the given runner: the event engine, or in the
+// package's tests the reference runtime.
+func run(cfg JobConfig, body func(*Rank) error, rn runner) (Report, error) {
 	label := cfg.Label
 	if label == "" {
 		label = fmt.Sprintf("job p=%d", cfg.Procs)
@@ -940,10 +714,9 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	setup.End()
 	jobSpan.SetAttr("ranks", cfg.Procs)
 	jobSpan.SetAttr("nodes", cfg.Nodes)
-	jobSpan.SetAttr("engine", string(cfg.Engine))
 	var cs *congestState
 	if cfg.Congestion && cfg.Nodes > 1 {
-		sol, err := recordAndSolve(cfg, body, jobSpan)
+		sol, err := recordAndSolve(cfg, body, rn, jobSpan)
 		if err != nil {
 			jobSpan.Fail(err)
 			return Report{}, err
@@ -951,7 +724,7 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 		cs = &congestState{sol: sol}
 	}
 	runSpan := jobSpan.Child("run-pass")
-	ranks, err := runRanks(cfg, body, cs)
+	ranks, err := runRanks(cfg, body, cs, rn)
 	runSpan.Fail(err)
 	runSpan.End()
 	if err != nil {
@@ -1002,18 +775,9 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 		// Merge per-rank logs into one deterministic stream. The ranks
 		// have joined, so this runs on a single goroutine; virtual-time
 		// ordering makes the result independent of real scheduling.
-		var tl Timeline
-		for _, r := range ranks {
-			tl = append(tl, r.events...)
-		}
-		sortTimeline(tl)
-		label := cfg.Label
-		if label == "" {
-			label = fmt.Sprintf("job p=%d", cfg.Procs)
-		}
 		cfg.Sink.Record(Event{Kind: EvJobBegin, Rank: -1, Node: -1, Peer: -1, Name: label})
-		for _, e := range tl {
-			cfg.Sink.Record(e)
+		for _, k := range timelineOrder(ranks) {
+			cfg.Sink.Record(ranks[k.rank].events[k.i])
 		}
 		emitLinkEvents(cfg.Sink, rep.Links)
 		emitCounterEvents(cfg.Sink, &rep)
@@ -1030,10 +794,10 @@ func Run(cfg JobConfig, body func(*Rank) error) (Report, error) {
 	return rep, nil
 }
 
-// runRanks executes body on every rank under the configured engine and
-// returns the ranks with their final clocks and logs. cs selects the
-// congestion-replay mode (nil = contention-free pricing).
-func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank, error) {
+// runRanks executes body on every rank under rn and returns the ranks
+// with their final clocks and logs. cs selects the congestion-replay
+// mode (nil = contention-free pricing).
+func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState, rn runner) ([]*Rank, error) {
 	j := &job{cfg: cfg, congest: cs, splitSeq: map[int]int{}}
 	ranks := make([]*Rank, cfg.Procs)
 	for i := range ranks {
@@ -1049,34 +813,5 @@ func runRanks(cfg JobConfig, body func(*Rank) error, cs *congestState) ([]*Rank,
 			ranks[i].pmu = metrics.NewRankPMU(*cfg.Counters, cfg.Procs)
 		}
 	}
-	if cfg.Engine == EngineEvent {
-		return ranks, runEventLoop(j, ranks, body)
-	}
-	return ranks, runGoroutines(ranks, body)
-}
-
-// runGoroutines is the classic engine: one goroutine per rank, real
-// channels between them, the Go scheduler free to interleave.
-func runGoroutines(ranks []*Rank, body func(*Rank) error) error {
-	errs := make([]error, len(ranks))
-	var wg sync.WaitGroup
-	for i := range ranks {
-		wg.Add(1)
-		go func(r *Rank) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r.id] = fmt.Errorf("rank %d panicked: %v", r.id, p)
-				}
-			}()
-			errs[r.id] = body(r)
-		}(ranks[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ranks, rn(j, ranks, body)
 }

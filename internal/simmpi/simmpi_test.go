@@ -63,6 +63,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(JobConfig{Procs: 4, Nodes: 2, RankModel: testModel}, func(*Rank) error { return nil }); err == nil {
 		t.Error("multi-node without fabric should fail")
 	}
+	if _, err := Run(JobConfig{Procs: 2, RankModel: testModel, Model: "quantum"}, func(*Rank) error { return nil }); err == nil {
+		t.Error("unknown pricing model should fail")
+	}
 	// Single node without fabric gets the shared-memory default.
 	if _, err := Run(JobConfig{Procs: 2, RankModel: testModel}, func(*Rank) error { return nil }); err != nil {
 		t.Errorf("single-node default fabric: %v", err)

@@ -1,9 +1,10 @@
 package simmpi
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"a64fxbench/internal/perfmodel"
 	"a64fxbench/internal/units"
@@ -199,15 +200,38 @@ func (tl Timeline) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// sortTimeline orders events by start time, breaking ties by rank.
-// The sort is stable, so each rank's program order is preserved.
-func sortTimeline(tl Timeline) {
-	sort.SliceStable(tl, func(i, j int) bool {
-		if tl[i].Start != tl[j].Start {
-			return tl[i].Start < tl[j].Start
+// timelineKey places one event of a rank's log in the merged timeline.
+type timelineKey struct {
+	start   vclock.Time
+	rank, i int32
+}
+
+// timelineOrder merges the ranks' event logs into one deterministic
+// order: by start time, ties broken by rank, then by each rank's
+// program order. Every key is distinct, so any sort yields this one
+// order; sorting 16-byte keys, rather than stably sorting a merged copy
+// of the events, moves no event and makes no copy of the logs.
+func timelineOrder(ranks []*Rank) []timelineKey {
+	n := 0
+	for _, r := range ranks {
+		n += len(r.events)
+	}
+	keys := make([]timelineKey, 0, n)
+	for ri, r := range ranks {
+		for i := range r.events {
+			keys = append(keys, timelineKey{start: r.events[i].Start, rank: int32(ri), i: int32(i)})
 		}
-		return tl[i].Rank < tl[j].Rank
+	}
+	slices.SortFunc(keys, func(a, b timelineKey) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
+		}
+		if a.rank != b.rank {
+			return cmp.Compare(a.rank, b.rank)
+		}
+		return cmp.Compare(a.i, b.i)
 	})
+	return keys
 }
 
 // record appends an event when tracing is on.

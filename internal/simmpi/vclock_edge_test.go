@@ -1,6 +1,6 @@
 package simmpi
 
-// Virtual-time edge cases, exercised identically under both engines:
+// Virtual-time edge cases, checked against the reference runtime:
 // simultaneous events at equal virtual time across ranks, the
 // (Start, Rank) tie-break in the merged timeline, the (time, rank, seq)
 // tie-break in the event engine's ready heap, and zero-duration Elapse.
@@ -14,9 +14,9 @@ import (
 	"a64fxbench/internal/vclock"
 )
 
-// vclockEdgeCases is the table shared by both engines. Every body is
-// deterministic and leans on events landing at exactly equal virtual
-// times.
+// vclockEdgeCases is the table run under the engine and the reference
+// runtime. Every body is deterministic and leans on events landing at
+// exactly equal virtual times.
 var vclockEdgeCases = []struct {
 	name  string
 	procs int
@@ -98,36 +98,32 @@ func TestVclockEdgeCasesAcrossEngines(t *testing.T) {
 }
 
 // TestTimelineTieBreak pins the merged-trace ordering contract: events
-// with equal Start times appear in ascending rank order, under both
-// engines.
+// with equal Start times appear in ascending rank order.
 func TestTimelineTieBreak(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
-		c := cfg(4, 1)
-		c.Engine = eng
-		sink := &MemorySink{}
-		c.Sink = sink
-		_, err := Run(c, func(r *Rank) error {
-			r.Compute(vecWork(100)) // identical on every rank: equal Start
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	c := cfg(4, 1)
+	sink := &MemorySink{}
+	c.Sink = sink
+	_, err := Run(c, func(r *Rank) error {
+		r.Compute(vecWork(100)) // identical on every rank: equal Start
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last vclock.Time
+	lastRank := -1
+	for _, e := range sink.Events {
+		if e.Kind != EvCompute {
+			continue
 		}
-		var last vclock.Time
-		lastRank := -1
-		for _, e := range sink.Events {
-			if e.Kind != EvCompute {
-				continue
-			}
-			if e.Start < last {
-				t.Fatalf("%s: timeline not Start-ordered", eng)
-			}
-			if e.Start == last && e.Rank <= lastRank {
-				t.Fatalf("%s: equal-Start events not rank-ordered: rank %d after %d", eng, e.Rank, lastRank)
-			}
-			last, lastRank = e.Start, e.Rank
+		if e.Start < last {
+			t.Fatal("timeline not Start-ordered")
 		}
+		if e.Start == last && e.Rank <= lastRank {
+			t.Fatalf("equal-Start events not rank-ordered: rank %d after %d", e.Rank, lastRank)
+		}
+		last, lastRank = e.Start, e.Rank
 	}
 }
 
@@ -172,28 +168,24 @@ func TestEvHeapOrdering(t *testing.T) {
 }
 
 // TestZeroDurationElapseAccounting pins Elapse(0) at the vclock level
-// as the engines see it: no time, no busy, no wait.
+// as the engine sees it: no time, no busy, no wait.
 func TestZeroDurationElapseAccounting(t *testing.T) {
 	t.Parallel()
-	for _, eng := range []Engine{EngineGoroutine, EngineEvent} {
-		c := cfg(2, 1)
-		c.Engine = eng
-		rep, err := Run(c, func(r *Rank) error {
-			for i := 0; i < 5; i++ {
-				r.Elapse(0)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	rep, err := Run(cfg(2, 1), func(r *Rank) error {
+		for i := 0; i < 5; i++ {
+			r.Elapse(0)
 		}
-		if rep.Makespan != 0 {
-			t.Fatalf("%s: Elapse(0)s produced makespan %v", eng, rep.Makespan)
-		}
-		for _, rr := range rep.Ranks {
-			if rr.Busy != 0 || rr.Wait != 0 {
-				t.Fatalf("%s: rank %d accounted busy=%v wait=%v", eng, rr.Rank, rr.Busy, rr.Wait)
-			}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan != 0 {
+		t.Fatalf("Elapse(0)s produced makespan %v", rep.Makespan)
+	}
+	for _, rr := range rep.Ranks {
+		if rr.Busy != 0 || rr.Wait != 0 {
+			t.Fatalf("rank %d accounted busy=%v wait=%v", rr.Rank, rr.Busy, rr.Wait)
 		}
 	}
 }
